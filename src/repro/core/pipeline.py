@@ -720,7 +720,7 @@ class Kit:
             return generator.generate_random(budget, seed=config.rand_seed)
 
         columnar = config.index_backend == "columnar"
-        say(f"profiling {len(corpus)} programs (4 runs each"
+        say(f"profiling {len(corpus)} programs (2 runs each"
             + (f", {config.workers} workers)" if config.workers > 0 else ")"))
         start = time.monotonic()
         before = machine.stats.copy()

@@ -7,6 +7,17 @@ collects the execution trace… Two trace collections have to run
 separately as collecting execution traces using instrumentation may
 affect the system call trace."
 
+Here one traced run per container collects both traces, so each program
+is profiled in two runs instead of four.  The separation guards against
+real GCC instrumentation perturbing syscall results; the simulated
+:class:`~repro.kernel.ktrace.KernelTracer` only observes — it appends
+accesses to its own buffer and never writes kernel state — so the
+syscall trace of a traced run is field-for-field the plain run's.
+``tests/core/test_profile_fidelity.py`` holds that claim: on every
+Table-3 kernel and the race kernel, with jump labels on and off, it
+compares traced records against a plain reference run and fails if a
+tracer ever perturbs a result.
+
 Every run restores the VM snapshot first, so profiles are functions of
 the program alone (the stable execution environment of §4.1.1).
 """
@@ -48,7 +59,13 @@ class ProgramProfile:
 
 
 class Profiler:
-    """Runs the 4-execution profiling protocol against a machine."""
+    """Profiles a program with one traced run in each container.
+
+    Two runs per program, not the paper's four: the syscall trace and
+    the execution trace come from the same traced run, which is safe
+    because the simulated tracer does not perturb syscall results (see
+    the module docstring and ``tests/core/test_profile_fidelity.py``).
+    """
 
     def __init__(self, machine: Machine):
         self._machine = machine
@@ -65,17 +82,13 @@ class Profiler:
     def _profile_container(self, container: str,
                            program: TestProgram) -> ContainerProfile:
         machine = self._machine
-        # Run 1: plain syscall trace, no instrumentation attached.
-        machine.reset()
-        plain = machine.run(container, program)
-        self.runs_executed += 1
-        # Run 2: execution trace under instrumentation.
+        # One traced run yields both the syscall trace and the accesses.
         machine.reset()
         machine.attach_tracer(KernelTracer())
         traced = machine.run(container, program, profile=True)
         machine.attach_tracer(None)
         self.runs_executed += 1
-        return ContainerProfile(records=plain.records,
+        return ContainerProfile(records=traced.records,
                                 accesses=traced.accesses or [])
 
     def profile_corpus(self, corpus: Sequence[TestProgram]) -> List[ProgramProfile]:

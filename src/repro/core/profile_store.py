@@ -1,6 +1,6 @@
 """On-disk profile cache: skip re-profiling unchanged programs.
 
-Profiling dominates campaign cost (4 snapshot-restored runs per program,
+Profiling dominates campaign cost (2 snapshot-restored runs per program,
 §6.5), and a program's profile is a pure function of (program, kernel
 build, container setup).  Like the paper's non-determinism cache ("KIT
 saves this … to disk for each test program to reduce the need to rerun
@@ -10,7 +10,10 @@ kernels or container flags invalidates exactly what it must.
 
 Profiles are pickled; the fingerprint covers the kernel version, the
 bug-flag set, the jump-label config, and both containers' namespace
-flags.
+flags.  It does not cover the profiling protocol: profiles cached when
+each program took four runs equal today's two-run profiles, because the
+traced run's records equal the plain run's
+(``tests/core/test_profile_fidelity.py``).
 """
 
 from __future__ import annotations

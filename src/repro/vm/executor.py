@@ -15,9 +15,10 @@ The record carries everything downstream stages need:
 When the kernel has a tracer attached and ``profile=True``, tracing is
 enabled around each syscall and the per-call memory accesses (with
 recovered call stacks) are returned alongside the records — KIT's
-"execution trace" collection mode.  Profiling and plain trace collection
-are separate runs in the paper because instrumentation perturbs timing;
-here the separation is kept for fidelity of the pipeline structure.
+"execution trace" collection mode.  The paper collects the plain trace in
+a separate run because instrumentation may perturb it; the simulated
+tracer only observes, so the profiler takes both traces from one traced
+run (see :mod:`repro.core.profile`).
 """
 
 from __future__ import annotations

@@ -113,8 +113,8 @@ class TestTable6Shape:
 
 
 class TestSection65Shape:
-    def test_four_profiling_runs_per_program(self, campaign):
-        assert campaign.stats.profile_runs == 4 * campaign.stats.corpus_size
+    def test_two_profiling_runs_per_program(self, campaign):
+        assert campaign.stats.profile_runs == 2 * campaign.stats.corpus_size
 
     def test_execution_throughput_positive(self, campaign):
         assert campaign.stats.executions_per_second() > 0
